@@ -63,11 +63,9 @@ def reset_cache_stats() -> None:
 def would_parallelize(npoints: int, jobs: Optional[int] = None) -> bool:
     """Whether :func:`sweep_map` would fan ``npoints`` uncached points
     out to worker processes (as opposed to taking the inline serial
-    fallback).  The single predicate the executor uses, exposed so the
-    perf harness can tell a *structural* serial fallback (single-CPU
-    host, too few points, jobs=1 — parallel leg runs the identical
-    serial code, any measured "speedup" is pure timing noise) from a
-    real parallel run whose speedup is worth gating on."""
+    fallback on a single-CPU host, with too few points, or at jobs=1).
+    This is the executor's default fan-out predicate; callers with
+    heavier points pass their own ``parallel_when``."""
     jobs = _jobs if jobs is None else jobs
     return (jobs > 1 and (os.cpu_count() or 1) > 1
             and npoints >= MIN_PARALLEL_POINTS)
@@ -142,18 +140,21 @@ def _cache_load(cache_dir: str, key: str) -> Optional[Dict]:
 
 
 def _cache_store(cache_dir: str, key: str, fn_path: str, params: Dict,
-                 result) -> None:
+                 result):
+    """Write one point's result to the cache and return it as a later
+    cache hit will (JSON round-tripped), so a miss and a hit agree."""
     try:
         payload = json.dumps({"fn": fn_path, "params": params,
                               "result": result}, sort_keys=True)
     except TypeError:
-        return  # non-JSON result (e.g. TimeSeries): run uncached
+        return result  # non-JSON result (e.g. TimeSeries): run uncached
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{key}.json")
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as handle:
         handle.write(payload)
     os.replace(tmp, path)  # atomic: concurrent workers race benignly
+    return json.loads(payload)["result"]
 
 
 def _invoke(fn_path: str, params: Dict):
@@ -218,13 +219,13 @@ def sweep_map(fn: Callable, points: Sequence[Dict],
                    for index, params, key in pending]
         for index, params, key, future in futures:
             value = future.result()
-            results[index] = value
             if key:
-                _cache_store(cache_dir, key, fn_path, params, value)
+                value = _cache_store(cache_dir, key, fn_path, params, value)
+            results[index] = value
     else:
         for index, params, key in pending:
             value = fn(**params)
-            results[index] = value
             if key:
-                _cache_store(cache_dir, key, fn_path, params, value)
+                value = _cache_store(cache_dir, key, fn_path, params, value)
+            results[index] = value
     return results

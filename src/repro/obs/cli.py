@@ -1,11 +1,11 @@
 """`ioctopus-repro obs`: per-component utilization for one experiment
-point, plus optional Perfetto trace / Prometheus dump / engine profile.
+point, plus an optional Perfetto trace / Prometheus dump.
 
 Examples::
 
     ioctopus-repro obs                         # fig08 quick point
     ioctopus-repro obs --workload rr --trace /tmp/rr.json
-    ioctopus-repro obs --config ioctopus --full --profile
+    ioctopus-repro obs --config ioctopus --full
     ioctopus-repro obs --prom /tmp/metrics.prom
     ioctopus-repro obs blame --workload rr --config remote
     ioctopus-repro obs diff --a-config ioctopus --b-config remote
@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(spans + flow arrows + counter tracks)")
     parser.add_argument("--prom", metavar="FILE",
                         help="write a Prometheus text-format dump")
-    parser.add_argument("--profile", action="store_true",
-                        help="also print the engine self-profile "
-                             "(host wall-clock by event type)")
     return parser
 
 
@@ -149,8 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return diff_main(argv[1:])
     args = build_parser().parse_args(argv)
     obs = ObsSession(enabled=True, trace=bool(args.trace),
-                     sample_interval_ns=args.sample_interval_us * 1000,
-                     profile=args.profile)
+                     sample_interval_ns=args.sample_interval_us * 1000)
     result = _run_point(args, obs)
 
     size = (args.packet_bytes if args.workload == "pktgen"
@@ -163,9 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print()
     print(obs.utilization_table(full=args.full))
 
-    if args.profile:
-        print()
-        print(obs.profile_table())
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(obs.perfetto_json())

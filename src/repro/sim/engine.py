@@ -327,7 +327,7 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Free-list of recycled one-shot events (see module docstring).
         self._pool: List[Event] = []
-        #: Total events dispatched; the perf harness divides by wall time.
+        #: Total events dispatched (tests and the benchmark read this).
         self.events_processed = 0
         #: Bumped by every BandwidthServer.set_rate (fault throttles, link
         #: retraining).  The fluid tier folds this into its steady tokens

@@ -1,71 +1,23 @@
-"""The fleet row of the perf-regression harness: the determinism
-cross-check, the scaling-efficiency gate, and the serial-wall baseline
-comparison."""
+"""Fleet smoke check: an inline and a process-sharded run of the same
+small rack must merge to the same fingerprint."""
 
-import sys
-from pathlib import Path
-
-REPO = Path(__file__).resolve().parents[2]
-if str(REPO / "benchmarks") not in sys.path:
-    sys.path.insert(0, str(REPO / "benchmarks"))
-
-from perf.harness import (  # noqa: E402
-    FLEET_EFFICIENCY_FLOOR,
-    bench_fleet,
-    check_regression,
-)
-
-
-def fleet_cell(**overrides) -> dict:
-    cell = {
-        "servers": 8, "connections": 32768, "jobs": 4,
-        "serial_s": 2.0, "parallel_s": 0.6,
-        "fingerprint": "abcd" * 4, "fingerprint_match": True,
-        "speedup": 3.33, "efficiency": 0.83,
-    }
-    cell.update(overrides)
-    return cell
-
-
-def test_gate_fails_on_fingerprint_mismatch():
-    failures = check_regression(
-        {"fleet": fleet_cell(fingerprint_match=False)}, baseline={})
-    assert failures and "fingerprint" in failures[0]
-
-
-def test_gate_fails_below_efficiency_floor():
-    failures = check_regression(
-        {"fleet": fleet_cell(efficiency=FLEET_EFFICIENCY_FLOOR / 2)},
-        baseline={})
-    assert failures and "efficiency" in failures[0]
-
-
-def test_serial_fallback_skips_the_efficiency_gate_only():
-    # A 1-CPU host time-shares the workers: efficiency is structurally
-    # 1.0 with the marker, but the fingerprint gate still applies.
-    cell = fleet_cell(efficiency=1.0, speedup=1.0, serial_fallback=True)
-    assert check_regression({"fleet": cell}, baseline={}) == []
-    cell = fleet_cell(efficiency=1.0, serial_fallback=True,
-                      fingerprint_match=False)
-    assert check_regression({"fleet": cell}, baseline={})
-
-
-def test_serial_wall_regresses_against_baseline():
-    baseline = {"fleet": fleet_cell(serial_s=1.0)}
-    assert check_regression({"fleet": fleet_cell(serial_s=1.1)},
-                            baseline) == []
-    failures = check_regression({"fleet": fleet_cell(serial_s=1.5)},
-                                baseline)
-    assert failures and "serial" in failures[0]
-    assert check_regression({}, baseline) == ["fleet bench missing "
-                                              "from report"]
+from repro.cluster import FleetSpec, run_fleet
+from repro.experiments import sweep
 
 
 def test_bench_fleet_smoke_fingerprints_match():
-    """The real bench on a tiny rack: inline and process-sharded runs
-    must merge to the same fingerprint, and the cell must carry either
-    a gated efficiency or the serial-fallback marker."""
-    cell = bench_fleet(servers=2, connections=2048, jobs=2, repeats=1)
-    assert cell["fingerprint_match"] is True
-    assert cell["serial_s"] > 0 and cell["parallel_s"] > 0
-    assert cell.get("serial_fallback") or "efficiency" in cell
+    """A tiny rack run inline (jobs=1) and fanned out over two worker
+    processes must merge to bit-identical fingerprints.  The sweep
+    cache is off so the sharded leg really runs in the workers."""
+    spec = FleetSpec(servers=2, connections=2048, duration_ns=4_000_000,
+                     epochs=4)
+    previous_cache = sweep._cache_dir
+    sweep.configure(cache_dir="")
+    try:
+        serial = run_fleet(spec, master_seed=0, accuracy="fluid", jobs=1)
+        parallel = run_fleet(spec, master_seed=0, accuracy="fluid", jobs=2)
+    finally:
+        sweep.shutdown_pool()
+        sweep.configure(cache_dir=previous_cache or "")
+    assert serial.served > 0
+    assert parallel.fingerprint() == serial.fingerprint()

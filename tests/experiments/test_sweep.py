@@ -19,6 +19,11 @@ def point_fn(x: int, seed: int = 0) -> dict:
     return {"x": x, "seed": seed, "value": x * 10 + seed}
 
 
+def tuple_point(x: int) -> dict:
+    """A point whose result JSON does not round-trip natively."""
+    return {"pair": (x, x + 1)}
+
+
 def unpicklable_result(x: int):
     return object()  # not JSON-serialisable: must silently skip the cache
 
@@ -64,6 +69,19 @@ def test_cache_hit_skips_execution(tmp_path):
     second = sweep_map(point_fn, points, cache_dir=str(tmp_path))
     assert len(CALLS) == 2  # both points served from cache
     assert second == first
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cache_miss_returns_what_a_hit_returns(tmp_path, jobs):
+    """A cold run through a cache dir returns the value a warm run reads
+    back, inline and from the pool alike."""
+    points = [dict(x=x) for x in range(4)]
+    kwargs = dict(jobs=jobs, cache_dir=str(tmp_path),
+                  parallel_when=lambda npoints, njobs: njobs > 1)
+    cold = sweep_map(tuple_point, points, **kwargs)
+    warm = sweep_map(tuple_point, points, **kwargs)
+    assert warm == [{"pair": [x, x + 1]} for x in range(4)]
+    assert cold == warm
 
 
 def test_cache_miss_on_param_change(tmp_path):

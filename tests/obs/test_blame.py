@@ -4,10 +4,14 @@ train apportionment, fleet merge, and the fig09 breakdown."""
 import pytest
 
 from repro.cluster import FleetSpec, run_fleet
+from repro.core.configurations import Testbed
+from repro.experiments.runners import warmup_of
+from repro.obs import ObsSession
 from repro.obs.blame import (BlameCollector, BlameDomain, build_report,
                              is_nudma_stage, render_text, run_blame_point,
                              stage_family)
 from repro.sim.tracing import Tracer
+from repro.workloads.pktgen import Pktgen
 
 #: Short simulated window for the tier sweeps (the CI smoke runs the
 #: full quick points; these tests care about the invariant, not the
@@ -144,6 +148,33 @@ def test_begin_blame_stride_one_admits_everything():
     tracer = Tracer(enabled=True, blame=BlameCollector(), blame_stride=1)
     assert all(tracer.begin_blame(i) is not None for i in range(10))
     assert Tracer(enabled=True).begin_blame(0) is None  # no collector
+
+
+def test_blame_session_keeps_event_stream_and_sampling_contract():
+    """On a real exact pktgen run, blame only reads: the event stream is
+    identical to a run without a session, and burst sampling admits at
+    most ``ceil(candidates / blame_stride)`` flows, which is what bounds
+    per-burst attribution cost."""
+    def run(blame):
+        testbed = Testbed("remote", seed=0, accuracy="exact")
+        Pktgen(testbed.server, testbed.server_core(0), 256, SHORT_NS,
+               warmup_of(SHORT_NS))
+        obs = None
+        if blame:
+            # No horizon => no sampler, so no extra timeout events.
+            obs = ObsSession(enabled=True, blame=True).attach(testbed)
+        testbed.run(SHORT_NS + SHORT_NS // 5)
+        return testbed.env.events_processed, obs
+
+    off_events, _ = run(False)
+    blame_events, obs = run(True)
+    assert blame_events == off_events
+    assert obs.blame.conservation_ok
+    flows = obs.blame.domain("flow").flows
+    candidates = obs.tracer._blame_seen
+    stride = obs.tracer.blame_stride
+    assert candidates > stride and flows > 0
+    assert flows <= -(-candidates // stride)
 
 
 # ----------------------------------------------------------- fleet view

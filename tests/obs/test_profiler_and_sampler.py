@@ -1,50 +1,9 @@
-"""Engine self-profiler and utilization sampler unit behaviour."""
+"""Utilization sampler unit behaviour."""
 
 import pytest
 
-from repro.obs import EngineProfiler, UtilizationSampler
+from repro.obs import UtilizationSampler
 from repro.sim.engine import Environment
-
-
-def ticker(env, period, count):
-    for _ in range(count):
-        yield env.timeout(period)
-
-
-def test_profiler_attributes_wall_clock_by_process():
-    env = Environment()
-    env.process(ticker(env, 10, 5), name="tick")
-    profiler = EngineProfiler(env)
-    profiler.install()
-    env.run(until=100)
-    assert profiler.total_wall_s() > 0
-    categories = dict(profiler.by_category)
-    tick = categories.get("process:tick")
-    assert tick is not None and tick[0] >= 5
-    table = profiler.table()
-    assert "process:tick" in table
-    profiler.uninstall()
-    assert "step" not in env.__dict__
-
-
-def test_profiler_double_install_rejected():
-    env = Environment()
-    profiler = EngineProfiler(env)
-    profiler.install()
-    with pytest.raises(ValueError):
-        profiler.install()
-
-
-def test_profiler_does_not_change_event_count():
-    def run(profile):
-        env = Environment()
-        env.process(ticker(env, 10, 20), name="tick")
-        if profile:
-            EngineProfiler(env).install()
-        env.run(until=500)
-        return env.events_processed
-
-    assert run(True) == run(False)
 
 
 def test_sampler_rate_and_gauge_channels():

@@ -2,11 +2,15 @@
 golden proving observability never changes simulated results."""
 
 import json
+import os
+import sys
 
 import pytest
 
-from repro.experiments.runners import run_pktgen, run_tcp_rr
+from repro.core.configurations import Testbed
+from repro.experiments.runners import run_pktgen, run_tcp_rr, warmup_of
 from repro.obs import ObsSession
+from repro.workloads.pktgen import Pktgen
 
 #: PR 2 exact-mode pktgen golden (tests/experiments/test_batching.py);
 #: must hold bit-identically with a full ObsSession attached.
@@ -108,6 +112,39 @@ def test_disabled_session_registers_nothing():
     assert obs.registry.instruments == {}
     assert obs.sampler is None
     assert obs.tracer is None
+
+
+def test_disabled_session_does_no_work_during_the_run():
+    """The "observability is free unless you ask for it" contract, held
+    structurally rather than by timing: a disabled session attached to
+    a run leaves the event stream identical and makes zero Python calls
+    into ``repro/obs`` while the simulation runs."""
+    duration = 20_000_000
+    needle = os.sep + os.path.join("repro", "obs") + os.sep
+
+    def run(with_session):
+        testbed = Testbed("remote", seed=0, accuracy="exact")
+        Pktgen(testbed.server, testbed.server_core(0), 256, duration,
+               warmup_of(duration))
+        if with_session:
+            ObsSession(enabled=False).attach(testbed, horizon_ns=duration)
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and needle in frame.f_code.co_filename:
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            testbed.run(duration + duration // 5)
+        finally:
+            sys.setprofile(None)
+        return testbed.env.events_processed, calls[0]
+
+    off_events, _ = run(False)
+    disabled_events, obs_calls = run(True)
+    assert disabled_events == off_events
+    assert obs_calls == 0
 
 
 def test_prometheus_labels_stamped_on_every_sample():
