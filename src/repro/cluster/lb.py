@@ -19,7 +19,8 @@ boundary.  That one-epoch reaction lag is the fleet's bounded lag.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.cluster.spec import FLEET_BLOCKS, FleetSpec
 
@@ -62,11 +63,17 @@ def home_server(block_id: int, alive: Set[int]) -> int:
     return max(alive, key=lambda server: (_weight(block_id, server), server))
 
 
+@lru_cache(maxsize=64)
+def _homes(alive: FrozenSet[int]) -> Tuple[int, ...]:
+    """Home server of every block for one alive set (pure, so memoised:
+    a server's plan asks once per epoch, but the alive set only changes
+    at a death)."""
+    return tuple(home_server(block, alive) for block in range(FLEET_BLOCKS))
+
+
 def assignment(spec: FleetSpec, epoch: int) -> Dict[int, int]:
     """block -> server for every block, at ``epoch``."""
-    alive = alive_servers(spec, epoch)
-    return {block: home_server(block, alive)
-            for block in range(FLEET_BLOCKS)}
+    return dict(enumerate(_homes(frozenset(alive_servers(spec, epoch)))))
 
 
 def blocks_for(spec: FleetSpec, server_id: int, epoch: int) -> List[int]:
@@ -74,8 +81,8 @@ def blocks_for(spec: FleetSpec, server_id: int, epoch: int) -> List[int]:
     alive = alive_servers(spec, epoch)
     if server_id not in alive:
         return []
-    return [block for block in range(FLEET_BLOCKS)
-            if home_server(block, alive) == server_id]
+    return [block for block, home in enumerate(_homes(frozenset(alive)))
+            if home == server_id]
 
 
 def pick_counts(spec: FleetSpec, epoch: int) -> Dict[int, int]:

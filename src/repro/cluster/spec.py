@@ -17,7 +17,9 @@ bounded lag that makes the fleet embarrassingly parallel.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.configurations import CONFIGS
@@ -26,6 +28,11 @@ from repro.core.configurations import CONFIGS
 #: Connections are organised in blocks (not individually) so any worker
 #: can regenerate any block's client population from the master seed.
 FLEET_BLOCKS = 512
+
+
+@lru_cache(maxsize=64)
+def _epoch_edges(duration_ns: int, epochs: int) -> Tuple[int, ...]:
+    return tuple(duration_ns * e // epochs for e in range(1, epochs))
 
 
 @dataclass(frozen=True)
@@ -128,9 +135,13 @@ class FleetSpec:
 
     def epoch_bounds(self) -> List[Tuple[int, int]]:
         """[start_ns, end_ns) of every epoch (equal integer splits)."""
-        return [(self.duration_ns * e // self.epochs,
-                 self.duration_ns * (e + 1) // self.epochs)
-                for e in range(self.epochs)]
+        edges = self.epoch_edges()
+        return list(zip((0,) + edges, edges + (self.duration_ns,)))
+
+    def epoch_edges(self) -> Tuple[int, ...]:
+        """Start of every epoch after the first, ascending: epoch ``e``
+        starts at ``duration_ns * e // epochs``."""
+        return _epoch_edges(self.duration_ns, self.epochs)
 
     def epoch_of(self, t_ns: int) -> int:
         """Epoch index containing ``t_ns`` (clamped to the run)."""
@@ -138,16 +149,7 @@ class FleetSpec:
             return 0
         if t_ns >= self.duration_ns:
             return self.epochs - 1
-        # Integer epoch edges are floor(duration*e/epochs), so the naive
-        # inverse can be off by one at an edge; nudge to the true bin.
-        e = min(self.epochs - 1,
-                t_ns * self.epochs // self.duration_ns)
-        while e > 0 and t_ns < self.duration_ns * e // self.epochs:
-            e -= 1
-        while (e < self.epochs - 1
-               and t_ns >= self.duration_ns * (e + 1) // self.epochs):
-            e += 1
-        return e
+        return bisect_right(self.epoch_edges(), t_ns)
 
     def block_sizes(self) -> List[int]:
         """Connections per block (even split, remainder on low blocks)."""

@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -44,6 +45,10 @@ MIN_PARALLEL_POINTS = 4
 _cache_hits = 0
 _cache_misses = 0
 
+#: Process-wide count of fan-outs whose pool broke (a worker died) and
+#: whose unfinished points were re-run inline.
+_pool_retries = 0
+
 
 def cache_stats() -> Dict[str, int]:
     """Cache hits/misses since process start (or the last reset), plus
@@ -52,6 +57,12 @@ def cache_stats() -> Dict[str, int]:
     return {"hits": _cache_hits, "misses": _cache_misses,
             "lookups": looked_up,
             "hit_rate": _cache_hits / looked_up if looked_up else 0.0}
+
+
+def pool_retries() -> int:
+    """Fan-outs since process start that lost their worker pool and
+    finished inline (see :func:`sweep_map`)."""
+    return _pool_retries
 
 
 def reset_cache_stats() -> None:
@@ -189,7 +200,7 @@ def sweep_map(fn: Callable, points: Sequence[Dict],
     for — including on hosts where the figure sweeps would fall back to
     serial.
     """
-    global _cache_hits, _cache_misses
+    global _cache_hits, _cache_misses, _pool_retries
     jobs = _jobs if jobs is None else jobs
     cache_dir = _cache_dir if cache_dir is None else cache_dir
     fn_path = _fn_path(fn)
@@ -217,15 +228,26 @@ def sweep_map(fn: Callable, points: Sequence[Dict],
         futures = [(index, params, key,
                     pool.submit(_invoke, fn_path, params))
                    for index, params, key in pending]
+        unfinished = []
         for index, params, key, future in futures:
-            value = future.result()
+            try:
+                value = future.result()
+            except BrokenProcessPool:
+                unfinished.append((index, params, key))
+                continue
             if key:
                 value = _cache_store(cache_dir, key, fn_path, params, value)
             results[index] = value
-    else:
-        for index, params, key in pending:
-            value = fn(**params)
-            if key:
-                value = _cache_store(cache_dir, key, fn_path, params, value)
-            results[index] = value
+        if unfinished:
+            # A worker died (killed, os._exit, segfault): the pool is
+            # unusable for good, so drop it — the next fan-out builds a
+            # fresh one — and finish the lost points inline.
+            shutdown_pool()
+            _pool_retries += 1
+        pending = unfinished
+    for index, params, key in pending:
+        value = fn(**params)
+        if key:
+            value = _cache_store(cache_dir, key, fn_path, params, value)
+        results[index] = value
     return results

@@ -24,18 +24,32 @@ def test_validation_rejects_bad_values():
         FleetSpec(pf_flap=(0, 10, 0))  # zero flap duration
 
 
-def test_epoch_bounds_partition_the_run():
-    spec = FleetSpec(duration_ns=10_000_001, epochs=7)
+@pytest.mark.parametrize("duration_ns, epochs", [
+    (10_000_001, 7), (1, 1), (5, 1), (7, 3), (10, 10), (1_000_003, 8),
+    (10_000_000, 7), (10_000_000, 8)])
+def test_epoch_bounds_partition_the_run(duration_ns, epochs):
+    spec = FleetSpec(duration_ns=duration_ns, epochs=epochs)
     bounds = spec.epoch_bounds()
-    assert len(bounds) == 7
+    assert len(bounds) == epochs
     assert bounds[0][0] == 0
-    assert bounds[-1][1] == spec.duration_ns
+    assert bounds[-1][1] == duration_ns
     for (_, end), (start, _) in zip(bounds, bounds[1:]):
         assert end == start
-    for e, (start, end) in enumerate(bounds):
-        assert spec.epoch_of(start) == e
-        assert spec.epoch_of(end - 1) == e
-    assert spec.epoch_of(spec.duration_ns + 5) == 6
+
+    # epoch_of inverts the bounds at every edge, clamped to the run.
+    def expected(t):
+        if t < 0:
+            return 0
+        if t >= duration_ns:
+            return epochs - 1
+        return next(e for e, (start, end) in enumerate(bounds)
+                    if start <= t < end)
+
+    probes = {-1, duration_ns + 1, duration_ns + 5}
+    for start, _ in bounds + [(duration_ns, None)]:
+        probes.update(range(start - 2, start + 3))
+    for t in sorted(probes):
+        assert spec.epoch_of(t) == expected(t), t
 
 
 def test_block_sizes_sum_to_connections():

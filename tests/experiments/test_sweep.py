@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -26,6 +27,17 @@ def tuple_point(x: int) -> dict:
 
 def unpicklable_result(x: int):
     return object()  # not JSON-serialisable: must silently skip the cache
+
+
+def crash_in_worker(x: int, parent: int) -> dict:
+    """Kills any worker process it runs in; inline it returns normally."""
+    if os.getpid() != parent:
+        os._exit(1)
+    return {"x": x}
+
+
+def always_fan_out(npoints: int, jobs: int) -> bool:
+    return True
 
 
 @pytest.fixture(autouse=True)
@@ -149,3 +161,19 @@ def test_parallel_uses_cache(tmp_path):
     second = sweep_map(run_pktgen, points, jobs=4,
                        cache_dir=str(tmp_path))
     assert second == first
+
+
+def test_worker_crash_reruns_lost_points_inline(tmp_path, monkeypatch):
+    """A dead worker breaks the pool: its points finish inline (and are
+    cached as usual), and the broken pool is not reused by the next
+    sweep."""
+    monkeypatch.setattr(sweep, "_pool_retries", 0)
+    points = [dict(x=x, parent=os.getpid()) for x in range(4)]
+    out = sweep_map(crash_in_worker, points, jobs=2,
+                    cache_dir=str(tmp_path), parallel_when=always_fan_out)
+    assert out == [{"x": x} for x in range(4)]
+    assert len(list(tmp_path.glob("*.json"))) == 4
+    after = sweep_map(point_fn, [dict(x=x) for x in range(4)], jobs=2,
+                      parallel_when=always_fan_out)
+    assert after == [point_fn(x=x) for x in range(4)]
+    assert sweep.pool_retries() == 1
