@@ -64,17 +64,32 @@ class InterconnectLink:
     def is_throttled(self) -> bool:
         return self.throttle_factor < 1.0
 
-    def load_factor(self) -> float:
-        """Latency inflation multiplier for crossings (>= 1, capped)."""
-        u = self.estimator.utilization()
-        return min(self.max_latency_inflation,
-                   1.0 + _BETA * u / max(1e-6, 1.0 - u))
+    # The two per-burst methods below fuse the estimator's exact-tier
+    # arithmetic (and, in traverse, the server charge) in line: every
+    # builtin min/max becomes a conditional with the same argument order
+    # and ties, and service times come from the server's memo, so the
+    # results are bit-identical to estimator.update_utilization() +
+    # server.account().  With fluid reservations in play they call the
+    # estimator's own methods instead.
 
     def loaded_crossing_ns(self) -> int:
-        # load_factor() inlined (hot path; identical math — the
-        # conditional cap equals min() bit-for-bit).
-        u = self.estimator.utilization()
-        inflation = 1.0 + _BETA * u / max(1e-6, 1.0 - u)
+        """Congestion-inflated crossing latency, without charging."""
+        est = self.estimator
+        if est._pending:
+            u = est.utilization()
+        else:
+            u = est._last_utilization
+            elapsed = self.env._now - est._bucket_start
+            if elapsed > 0:
+                current = (est._bucket_bytes * 1e9
+                           / (est.bytes_per_sec * elapsed))
+                current = current if current < 1.0 else 1.0
+                weight = elapsed / est.bucket_ns
+                weight = weight if weight < 1.0 else 1.0
+                u = (1.0 - weight) * u + weight * current
+        headroom = 1.0 - u
+        inflation = 1.0 + _BETA * u / (headroom if headroom > 1e-6
+                                       else 1e-6)
         if inflation > self.max_latency_inflation:
             inflation = self.max_latency_inflation
         return int(self.crossing_latency_ns * inflation)
@@ -82,12 +97,50 @@ class InterconnectLink:
     def traverse(self, nbytes: int) -> int:
         """Charge a transfer; return its total delay (latency + queue +
         service) in ns."""
-        u = self.estimator.update_utilization(nbytes)
-        inflation = 1.0 + _BETA * u / max(1e-6, 1.0 - u)
+        env = self.env
+        est = self.estimator
+        now = env._now
+        if est._pending or env.fluid_span_ns > 0:
+            u = est.update_utilization(nbytes)
+        else:
+            elapsed = now - est._bucket_start
+            if elapsed >= est.bucket_ns:
+                # A new bucket opens: utilization() would return the
+                # closed bucket's figure (elapsed >= bucket_ns >= 1).
+                u = (est._bucket_bytes * 1e9
+                     / (est.bytes_per_sec * elapsed))
+                u = u if u < 1.0 else 1.0
+                est._last_utilization = u
+                est._bucket_start = now
+                est._bucket_bytes = nbytes
+            else:
+                bucket = est._bucket_bytes + nbytes
+                est._bucket_bytes = bucket
+                u = est._last_utilization
+                if elapsed > 0:
+                    current = bucket * 1e9 / (est.bytes_per_sec * elapsed)
+                    current = current if current < 1.0 else 1.0
+                    # 0 < elapsed < bucket_ns: the weight is below 1.
+                    weight = elapsed / est.bucket_ns
+                    u = (1.0 - weight) * u + weight * current
+        headroom = 1.0 - u
+        inflation = 1.0 + _BETA * u / (headroom if headroom > 1e-6
+                                       else 1e-6)
         if inflation > self.max_latency_inflation:
             inflation = self.max_latency_inflation
+        # BandwidthServer.account in line.
+        server = self.server
+        duration = server._durations.get(nbytes)
+        if duration is None:
+            duration = server.service_time(nbytes)
+        free_at = server._free_at
+        start = free_at if free_at > now else now
+        server._free_at = start + duration
+        server._busy_ns += duration
+        server._bytes_total += nbytes
+        server._window_bytes += nbytes
         return (int(self.crossing_latency_ns * inflation)
-                + self.server.account(nbytes))
+                + ((start - now) + duration))
 
     def probe_delay(self, nbytes: int = 64) -> int:
         """Delay a transfer *would* see, without charging bandwidth.
@@ -133,7 +186,10 @@ class Interconnect:
         """Charge a crossing src->dst; 0 ns if src == dst."""
         if src_node == dst_node:
             return 0
-        return self.link(src_node, dst_node).traverse(nbytes)
+        link = self._links.get((src_node, dst_node))
+        if link is None:
+            link = self.link(src_node, dst_node)   # raises the friendly error
+        return link.traverse(nbytes)
 
     def loaded_round_trip_ns(self, a: int, b: int) -> int:
         """Congestion-inflated latency of one a->b->a line round trip."""

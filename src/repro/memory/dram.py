@@ -36,15 +36,43 @@ class DramController:
         """Charge a read burst; returns its bandwidth-limited service ns."""
         self.read_bytes += nbytes
         self._window_read += nbytes
-        self.estimator.update(nbytes)
-        return self.server.account(nbytes)
+        return self._charge(nbytes)
 
     def write(self, nbytes: int) -> int:
         """Charge a write burst; returns its bandwidth-limited service ns."""
         self.write_bytes += nbytes
         self._window_write += nbytes
-        self.estimator.update(nbytes)
-        return self.server.account(nbytes)
+        return self._charge(nbytes)
+
+    def _charge(self, nbytes: int) -> int:
+        """``estimator.update(nbytes)`` then ``server.account(nbytes)``,
+        with the exact-tier bucket update and the server's memo hit in
+        line (bit-identical to the pair; a steady-interval charge goes
+        through ``estimator.update``)."""
+        env = self.env
+        est = self.estimator
+        if env.fluid_span_ns > 0:
+            est.update(nbytes)
+        else:
+            now = env._now
+            elapsed = now - est._bucket_start
+            if elapsed >= est.bucket_ns:
+                last = (est._bucket_bytes * 1e9
+                        / (est.bytes_per_sec * elapsed))
+                est._last_utilization = last if last < 1.0 else 1.0
+                est._bucket_start = now
+                est._bucket_bytes = nbytes
+            else:
+                est._bucket_bytes += nbytes
+        server = self.server
+        active = server._active
+        key = nbytes * active if active > 1 else nbytes
+        duration = server._durations.get(key)
+        if duration is None:
+            duration = server._duration(nbytes, key)
+        server._bytes_total += nbytes
+        server._window_bytes += nbytes
+        return duration
 
     def load_factor(self) -> float:
         """Multiplier applied to miss latencies under load (>= 1)."""

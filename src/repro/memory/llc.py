@@ -64,7 +64,8 @@ class LastLevelCache:
         entry = self._entries.get(region)
         if entry is None:
             return 0.0
-        return min(1.0, entry.resident / region.size)
+        fraction = entry.resident / region.size
+        return fraction if fraction < 1.0 else 1.0
 
     def resident_bytes(self, region: Region) -> int:
         entry = self._entries.get(region)
@@ -87,7 +88,8 @@ class LastLevelCache:
         """
         if region.non_temporal:
             return 0
-        absorbed = min(nbytes, self.ddio_capacity)
+        cap = self.ddio_capacity
+        absorbed = cap if cap < nbytes else nbytes
         self._insert(region, absorbed, ddio=True)
         return absorbed
 
@@ -116,9 +118,10 @@ class LastLevelCache:
         entry = self._entries.get(region)
         if entry is None:
             return 0
-        dropped = entry.resident if nbytes is None else min(
-            entry.resident, nbytes)
-        ddio_dropped = min(entry.ddio, dropped)
+        dropped = entry.resident
+        if nbytes is not None and nbytes < dropped:
+            dropped = nbytes
+        ddio_dropped = dropped if dropped < entry.ddio else entry.ddio
         entry.resident -= dropped
         entry.ddio -= ddio_dropped
         self._occupied -= dropped
@@ -153,7 +156,9 @@ class LastLevelCache:
             self._entries[region] = entry
         self._entries.move_to_end(region)
         room_in_region = region.size - entry.resident
-        grow = max(0, min(nbytes, room_in_region))
+        grow = room_in_region if room_in_region < nbytes else nbytes
+        if grow < 0:
+            grow = 0
         entry.resident += grow
         self._occupied += grow
         if ddio:
@@ -169,10 +174,11 @@ class LastLevelCache:
                 # A single region larger than the cache: clamp it.
                 overflow = self._occupied - self.capacity
                 entry.resident -= overflow
-                entry.ddio = min(entry.ddio, entry.resident)
+                if entry.resident < entry.ddio:
+                    entry.ddio = entry.resident
                 self._occupied = self.capacity
-                self._ddio_occupied = min(self._ddio_occupied,
-                                          self._occupied)
+                if self._occupied < self._ddio_occupied:
+                    self._ddio_occupied = self._occupied
                 return
             if victim is keep:
                 # Skip the protected region: evict the next-oldest.
@@ -184,39 +190,47 @@ class LastLevelCache:
             self._clear_dma_freshness(victim)
 
     def _evict_ddio_overflow(self, keep: Region) -> None:
-        """DDIO may not overflow its slice: shrink oldest DDIO allocations."""
-        if self._ddio_occupied <= self.ddio_capacity:
+        """DDIO may not overflow its slice: shrink oldest DDIO allocations,
+        then ``keep`` itself if it is the only holder left."""
+        excess = self._ddio_occupied - self.ddio_capacity
+        if excess <= 0:
             return
-        for victim in list(self._entries):
-            if self._ddio_occupied <= self.ddio_capacity:
-                break
-            entry = self._entries[victim]
-            if entry.ddio == 0 or victim is keep:
-                continue
-            drop = min(entry.ddio,
-                       self._ddio_occupied - self.ddio_capacity)
-            entry.ddio -= drop
-            entry.resident -= drop
-            self._occupied -= drop
-            self._ddio_occupied -= drop
-            if entry.resident <= 0:
-                del self._entries[victim]
-        if self._ddio_occupied > self.ddio_capacity:
-            # Only `keep` holds DDIO bytes: clamp it too.
-            entry = self._entries[keep]
-            drop = self._ddio_occupied - self.ddio_capacity
-            drop = min(drop, entry.ddio)
-            entry.ddio -= drop
-            entry.resident -= drop
-            self._occupied -= drop
-            self._ddio_occupied -= drop
+        entries = self._entries
+        kept = entries[keep]
+        if kept.ddio < self._ddio_occupied:
+            # Other regions hold DDIO bytes.  Emptied entries are deleted
+            # after the walk, so it needs no snapshot of the order.
+            emptied = []
+            for victim, entry in entries.items():
+                if entry.ddio == 0 or victim is keep:
+                    continue
+                drop = excess if excess < entry.ddio else entry.ddio
+                entry.ddio -= drop
+                entry.resident -= drop
+                self._occupied -= drop
+                self._ddio_occupied -= drop
+                excess -= drop
+                if entry.resident <= 0:
+                    emptied.append(victim)
+                if excess <= 0:
+                    break
+            for victim in emptied:
+                del entries[victim]
+            if excess <= 0:
+                return
+        # Only `keep` holds DDIO bytes: clamp it.
+        drop = kept.ddio if kept.ddio < excess else excess
+        kept.ddio -= drop
+        kept.resident -= drop
+        self._occupied -= drop
+        self._ddio_occupied -= drop
 
     def _clear_dma_freshness(self, region: Region) -> None:
         """A fully-evicted region's freshly-DMA-written bytes are gone
         from this LLC; subsequent reads must miss (multi-core working
         sets exceeding the LLC reintroduce memory traffic even with
         DDIO, §5.1.1)."""
-        if getattr(region, "dma_llc_node", None) == self.node_id:
+        if region.dma_llc_node == self.node_id:
             region.dma_llc_node = None
 
     def __repr__(self) -> str:

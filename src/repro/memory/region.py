@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional
 
 _REGION_IDS = itertools.count()
 
@@ -25,6 +26,9 @@ class Region:
     #: Regions written with non-temporal stores never allocate in the LLC.
     non_temporal: bool = False
     region_id: int = field(default_factory=lambda: next(_REGION_IDS))
+    #: Node whose LLC holds the region's freshly DMA-written lines (DDIO
+    #: absorbed the whole write), or None.  Kept by the memory system.
+    dma_llc_node: Optional[int] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.size <= 0:

@@ -20,7 +20,7 @@ paper measures are therefore *consequences* of three routing rules
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.interconnect.link import Interconnect
 from repro.memory.dram import DramController
@@ -44,6 +44,13 @@ _REQUEST_OVERHEAD = 1 / 8
 #: engine's effective remote bandwidth collapses to
 #: OUTSTANDING * 64 B / round-trip — the §5.2 and §5.4 degradation.
 _DMA_OUTSTANDING_LINES = 32
+
+
+def _max3(a: int, b: int, c: int) -> int:
+    """``max(a, b, c)`` without the builtin's call overhead."""
+    if b > a:
+        a = b
+    return c if c > a else a
 
 
 class MemorySystem:
@@ -90,7 +97,7 @@ class MemorySystem:
             qpi_delay = self.interconnect.round_trip(
                 node, home, int(miss * _REQUEST_OVERHEAD), miss)
         llc.load(region, nbytes)
-        return max(stall, dram_delay, qpi_delay)
+        return _max3(stall, dram_delay, qpi_delay)
 
     def cpu_stream_write(self, node: int, region: Region,
                          nbytes: int) -> int:
@@ -104,7 +111,7 @@ class MemorySystem:
             qpi_delay = 0
             if home != node:
                 qpi_delay = self.interconnect.traverse(node, home, nbytes)
-            return max(dram_delay, qpi_delay)
+            return qpi_delay if qpi_delay > dram_delay else dram_delay
         llc = self.llcs[node]
         fraction = llc.record_access(region, nbytes)
         miss = int(nbytes * (1.0 - fraction))
@@ -121,7 +128,7 @@ class MemorySystem:
                 node, home, int(miss * _REQUEST_OVERHEAD), miss)
                 + self.interconnect.traverse(node, home, miss))
         llc.load(region, nbytes)
-        return max(stall, dram_delay // 2, qpi_delay)
+        return _max3(stall, dram_delay // 2, qpi_delay)
 
     def cpu_copy(self, node: int, src: Region, dst: Region,
                  nbytes: int) -> int:
@@ -145,8 +152,9 @@ class MemorySystem:
         """
         llc = self.llcs[node]
         llc.touch(region)
-        window = min(inflight_bytes, int(region.size * 0.9))
-        if (self._dma_resident_node(region) == node
+        cap = int(region.size * 0.9)
+        window = cap if cap < inflight_bytes else inflight_bytes
+        if (region.dma_llc_node == node
                 and llc.resident_bytes(region) >= window):
             llc.hits_bytes += nbytes
             return 0
@@ -161,19 +169,21 @@ class MemorySystem:
         # the device's write and the copy's read this yields the 3x-of-
         # throughput memory bandwidth the paper measures for remote Rx
         # (Fig 6b); with DDIO none of the three streams exists.
-        dram_delay = max(dram_delay, self.drams[home].write(nbytes))
+        writeback = self.drams[home].write(nbytes)
+        if writeback > dram_delay:
+            dram_delay = writeback
         qpi_delay = 0
         if home != node:
             qpi_delay = self.interconnect.round_trip(
                 node, home, int(nbytes * _REQUEST_OVERHEAD), nbytes)
         llc.load(region, nbytes)
-        return max(stall, dram_delay, qpi_delay)
+        return _max3(stall, dram_delay, qpi_delay)
 
     def read_fresh_dma_line(self, node: int, region: Region) -> int:
         """Latency-critical single-line read of a just-DMA-written entry
         (a completion descriptor).  This is the ~80 ns that separates
         pktgen's local and remote rates (§5.1.1)."""
-        resident = self._dma_resident_node(region)
+        resident = region.dma_llc_node
         if resident == node:
             self.llcs[node].hits_bytes += CACHELINE
             return 0
@@ -202,7 +212,7 @@ class MemorySystem:
         Pure read: no counters move, no bandwidth is charged, so blame
         classification cannot perturb the model.
         """
-        resident = self._dma_resident_node(region)
+        resident = region.dma_llc_node
         if resident == node:
             return "ddio_hit"
         if resident is not None:
@@ -265,7 +275,7 @@ class MemorySystem:
                 absorbed = self.llcs[home].ddio_write_batch(region, sizes)
             spill = nbytes - absorbed
             delay = self.drams[home].write(spill) if spill else 0
-            self._set_dma_resident(region, home if spill == 0 else None)
+            region.dma_llc_node = home if spill == 0 else None
             return delay
         dram_delay = self.drams[home].write(nbytes)
         qpi_delay = 0
@@ -276,7 +286,7 @@ class MemorySystem:
             if serial > qpi_delay:
                 qpi_delay = serial
         self.llcs[home].invalidate(region, nbytes)
-        self._set_dma_resident(region, None)
+        region.dma_llc_node = None
         return dram_delay if dram_delay > qpi_delay else qpi_delay
 
     def dma_read(self, device_node: int, region: Region,
@@ -289,10 +299,10 @@ class MemorySystem:
         data is ultimately served from the LLC.
         """
         home = region.home_node
-        llc = self.llcs[home]
-        cached_fraction = llc.residency(region)
         if device_node == home:
-            if cached_fraction >= _LINE_HIT_THRESHOLD and self.ddio_enabled:
+            llc = self.llcs[home]
+            if (llc.residency(region) >= _LINE_HIT_THRESHOLD
+                    and self.ddio_enabled):
                 llc.hits_bytes += nbytes
                 return 0
             return self.drams[home].read(nbytes)
@@ -364,7 +374,7 @@ class MemorySystem:
         if engine is None:
             return duration
         now = self.env._now
-        free_at = getattr(engine, "dma_window_free_at", 0)
+        free_at = engine.dma_window_free_at
         start = free_at if free_at > now else now
         engine.dma_window_free_at = start + duration
         return (start - now) + duration
@@ -379,11 +389,3 @@ class MemorySystem:
             # backlog (a line interleaves between batches on real links).
             latency += self.interconnect.loaded_round_trip_ns(node, home)
         return latency
-
-    @staticmethod
-    def _dma_resident_node(region: Region) -> Optional[int]:
-        return getattr(region, "dma_llc_node", None)
-
-    @staticmethod
-    def _set_dma_resident(region: Region, node: Optional[int]) -> None:
-        region.dma_llc_node = node

@@ -109,8 +109,9 @@ class NicDevice(MultiPfDevice):
                                  nbursts=nbursts)
         ring_delay = pf.dma_write(queue.ring, npackets * CACHELINE,
                                   nbursts=nbursts)
-        dma_delay = max(buf_delay, ring_delay)
-        delay = npackets * PIPELINE_NS_PER_PKT + max(wire_delay, dma_delay)
+        dma_delay = ring_delay if ring_delay > buf_delay else buf_delay
+        delay = npackets * PIPELINE_NS_PER_PKT + (
+            dma_delay if dma_delay > wire_delay else wire_delay)
 
         flow_trace = self.machine.tracer.active_flow
         if flow_trace is not None:
@@ -124,7 +125,8 @@ class NicDevice(MultiPfDevice):
                 # stage owns its full transit, the DMA stage owns the
                 # pipeline plus whatever DMA time the wire did not hide,
                 # so the two charges sum to the returned delay exactly.
-                dma_blame = pipeline + max(0, dma_delay - wire_delay)
+                exposed = dma_delay - wire_delay
+                dma_blame = pipeline + (exposed if exposed > 0 else 0)
             flow_trace.step("wire", "wire.rx", wire_delay,
                             {"packets": npackets, "bytes": payload_total},
                             stage="wire")
@@ -169,7 +171,8 @@ class NicDevice(MultiPfDevice):
         # payload read queues behind the descriptor fetch on the link.
         desc_delay = pf.dma_read(queue.ring, ndesc * CACHELINE)
         payload_delay = pf.dma_read(src_region, payload_total)
-        dma_delay = max(desc_delay, payload_delay)
+        dma_delay = (payload_delay if payload_delay > desc_delay
+                     else desc_delay)
         wire_delay = 0
         if self.wire is not None:
             direction = "b_to_a" if self.wire_side == "b" else "a_to_b"
@@ -179,8 +182,10 @@ class NicDevice(MultiPfDevice):
         # (§5.1.1, pktgen analysis).
         completion_delay = pf.dma_write(queue.ring, ndesc * CACHELINE,
                                         nbursts=nbursts)
-        delay = (npackets * PIPELINE_NS_PER_PKT
-                 + max(wire_delay, dma_delay, completion_delay))
+        overlapped = dma_delay if dma_delay > wire_delay else wire_delay
+        slowest = (completion_delay if completion_delay > overlapped
+                   else overlapped)
+        delay = npackets * PIPELINE_NS_PER_PKT + slowest
 
         flow_trace = self.machine.tracer.active_flow
         if flow_trace is not None:
@@ -196,10 +201,9 @@ class NicDevice(MultiPfDevice):
                 # its own time + the completion residual beyond
                 # max(wire, dma); the wire stage owns what the DMA did
                 # not hide.  Charges sum to the returned delay exactly.
-                slowest = max(wire_delay, dma_delay, completion_delay)
-                dma_blame = (pipeline + dma_delay
-                             + slowest - max(wire_delay, dma_delay))
-                wire_blame = max(0, wire_delay - dma_delay)
+                dma_blame = pipeline + dma_delay + slowest - overlapped
+                exposed = wire_delay - dma_delay
+                wire_blame = exposed if exposed > 0 else 0
             flow_trace.step(f"{self.name}.{pf.name}", "dma.tx",
                             pipeline + dma_delay,
                             {"desc_ns": desc_delay,

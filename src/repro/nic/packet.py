@@ -55,7 +55,8 @@ def wire_bytes(payload: int) -> int:
     """On-wire size of a packet carrying ``payload`` bytes."""
     if payload < 0:
         raise ValueError(f"negative payload {payload}")
-    return max(payload, MIN_PAYLOAD) + HEADER_BYTES + FRAMING_BYTES
+    return ((MIN_PAYLOAD if MIN_PAYLOAD > payload else payload)
+            + HEADER_BYTES + FRAMING_BYTES)
 
 
 def packets_for(message_bytes: int, mtu_payload: int) -> int:

@@ -43,6 +43,13 @@ def _ring_lag(queue) -> int:
     return queue.buffers.size // 2
 
 
+def _payload_of(message_bytes: int) -> int:
+    """Per-packet payload of a message: ``max(1, min(message_bytes,
+    MSS))``, written as conditionals (it runs once per burst)."""
+    payload = MSS if MSS < message_bytes else message_bytes
+    return payload if payload > 1 else 1
+
+
 class Socket:
     """A connected socket owned by one thread."""
 
@@ -161,7 +168,7 @@ class NetworkStack:
         burst_packets = nmessages * pkts_per_msg
         npackets = burst_packets * ntrains
         total_messages = nmessages * ntrains
-        payload = max(1, min(message_bytes, MSS))
+        payload = _payload_of(message_bytes)
 
         # Under streaming load the ring runs deep: the batch the CPU
         # processes now was DMA-written a full burst earlier, so its cache
@@ -193,7 +200,8 @@ class NetworkStack:
 
         delivered, dev_ns = sock.driver.device.rx_deliver(
             sock.flow, sock.dst_mac, npackets, payload, nbursts=ntrains)
-        delivered.outstanding = max(0, delivered.outstanding - npackets)
+        left = delivered.outstanding - npackets
+        delivered.outstanding = left if left > 0 else 0
         if bflow is not None:
             bflow.charge("stack", stack)
             bflow.charge("app", copy)
@@ -225,10 +233,11 @@ class NetworkStack:
         burst_packets = nmessages * pkts_per_msg
         npackets = burst_packets * ntrains
         total_messages = nmessages * ntrains
-        payload = max(1, min(message_bytes, MSS))
+        payload = _payload_of(message_bytes)
         total_bytes = npackets * payload
         if tso:
-            burst_desc = nmessages * max(1, -(-message_bytes // TSO_SEGMENT))
+            segments = -(-message_bytes // TSO_SEGMENT)
+            burst_desc = nmessages * (segments if segments > 1 else 1)
             ndesc = burst_desc * ntrains
             stack_cost = ndesc * self.costs.tx_segment_ns
         else:
@@ -275,7 +284,7 @@ class NetworkStack:
                 if bflow is not None:
                     loc = ("local" if rxq.pf.is_local_to(node) else "qpi")
                     bflow.charge(f"dma.{loc}", ack_residual)
-            dev_ns = max(dev_ns, dev_ack)
+            dev_ns = dev_ack if dev_ack > dev_ns else dev_ns
         if bflow is not None:
             bflow.charge("stack", kernel + ack_stack)
             bflow.charge("app", copy)
@@ -296,13 +305,14 @@ class NetworkStack:
         thread = sock.owner
         node = thread.core.node_id
         pkts = packets_for(message_bytes, MSS)
-        payload = max(1, min(message_bytes, MSS))
+        payload = _payload_of(message_bytes)
         # One flow per message: the device and completion path contribute
         # their steps (wire, DMA, CQ reads) while it is active.
         flow = self.machine.tracer.begin_flow(self.machine.now)
         queue, dev_ns = sock.driver.device.rx_deliver(
             sock.flow, sock.dst_mac, pkts, payload, charge_wire=charge_wire)
-        queue.outstanding = max(0, queue.outstanding - pkts)
+        left = queue.outstanding - pkts
+        queue.outstanding = left if left > 0 else 0
         total = pkts * payload
 
         latency = dev_ns
@@ -344,7 +354,7 @@ class NetworkStack:
         node = thread.core.node_id
         txq = sock.tx_queue
         pkts = packets_for(message_bytes, MSS)
-        payload = max(1, min(message_bytes, MSS))
+        payload = _payload_of(message_bytes)
         total = pkts * payload
         per_pkt = self.costs.udp_pkt_ns if udp else self.costs.tx_pkt_ns
 

@@ -79,8 +79,10 @@ class SimThread:
 
         The returned event is pooled: yield it immediately, don't store it.
         """
-        self.core.charge(int(cpu_ns))
-        return self.env.pooled_timeout(max(int(cpu_ns), int(dev_ns)))
+        cpu_ns = int(cpu_ns)
+        dev_ns = int(dev_ns)
+        self.core.charge(cpu_ns)
+        return self.env.pooled_timeout(dev_ns if dev_ns > cpu_ns else cpu_ns)
 
     def sleep(self, ns: int) -> Event:
         """Block without using CPU (pooled: yield immediately)."""

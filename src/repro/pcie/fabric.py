@@ -113,12 +113,13 @@ class PhysicalFunction:
         the DDIO absorb nonlinearity and per-burst rounding match the
         exact path's burst-by-burst execution.
         """
-        self._check_alive("dma_write")
-        per_burst, remainder = divmod(nbytes, nbursts)
-        if nbursts == 1 or remainder:
+        if not self.alive:
+            self._check_alive("dma_write")
+        if nbursts == 1 or nbytes % nbursts:
             pcie_delay = self.link.upstream.account(nbytes)
         else:
-            pcie_delay = self.link.upstream.account_batch(per_burst, nbursts)
+            pcie_delay = self.link.upstream.account_batch(
+                nbytes // nbursts, nbursts)
         mem_delay = self._memory.dma_write(self.attach_node, region,
                                            nbytes, engine=self,
                                            nbursts=nbursts)
@@ -126,7 +127,8 @@ class PhysicalFunction:
 
     def dma_read(self, region, nbytes: int) -> int:
         """Memory -> device read through this PF; returns delay ns."""
-        self._check_alive("dma_read")
+        if not self.alive:
+            self._check_alive("dma_read")
         pcie_delay = self.link.downstream.account(nbytes)
         mem_delay = self._memory.dma_read(self.attach_node, region,
                                           nbytes, engine=self)
@@ -140,7 +142,8 @@ class PhysicalFunction:
         Crossing the interconnect to reach a remote PF is one of the
         nonuniform I/O interactions Fig 1 depicts.
         """
-        self._check_alive("mmio")
+        if not self.alive:
+            self._check_alive("mmio")
         latency = self._half_rtt
         if from_node != self.attach_node:
             link = self._mmio_links.get(from_node)
@@ -154,7 +157,8 @@ class PhysicalFunction:
 
     def interrupt_latency(self, to_node: int) -> int:
         """Latency for an MSI-X message to reach a core on ``to_node``."""
-        self._check_alive("interrupt")
+        if not self.alive:
+            self._check_alive("interrupt")
         latency = self._half_rtt
         if to_node != self.attach_node:
             link = self._irq_links.get(to_node)

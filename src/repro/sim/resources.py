@@ -24,6 +24,11 @@ from typing import Any, Deque, Optional
 from repro.sim.engine import Environment, Event
 from repro.sim.errors import SimulationError
 
+#: Most distinct transfer sizes a server memoises service times for.
+#: Runs see a few dozen sizes per server (hundreds on a large fleet); the
+#: cap only bounds memory if a caller streams ever-new sizes.
+MEMO_CAP = 4096
+
 
 class Request(Event):
     """Pending acquisition of a :class:`Resource` slot.
@@ -170,12 +175,24 @@ class BandwidthServer:
         self._bytes_total = 0
         self._window_start = 0     # for windowed utilisation/byte queries
         self._window_bytes = 0
+        #: Service time per transfer size at the current rate; cleared by
+        #: set_rate().  Only validated (non-negative) sizes are stored.
+        self._durations: dict = {}
 
     def service_time(self, nbytes: int) -> int:
-        """Pure service time for ``nbytes`` (no queueing), in ns."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        return int(round(nbytes * 1e9 / self.bytes_per_sec))
+        """Pure service time for ``nbytes`` (no queueing), in ns.
+
+        Memoised per size until the next :meth:`set_rate`; the stored
+        value is the same ``int(round(...))`` a fresh call computes.
+        """
+        duration = self._durations.get(nbytes)
+        if duration is None:
+            if nbytes < 0:
+                raise ValueError(f"negative transfer size {nbytes}")
+            duration = int(round(nbytes * 1e9 / self.bytes_per_sec))
+            if len(self._durations) < MEMO_CAP:
+                self._durations[nbytes] = duration
+        return duration
 
     def set_rate(self, bytes_per_sec: float) -> None:
         """Change the service rate (link retraining, fault throttling).
@@ -198,17 +215,15 @@ class BandwidthServer:
             self._free_at = now + int(round(
                 backlog * self.bytes_per_sec / bytes_per_sec))
         self.bytes_per_sec = float(bytes_per_sec)
+        self._durations.clear()
         self.env.rate_epoch += 1
 
     def transfer(self, nbytes: int) -> Event:
         """Enqueue a transfer; the event fires at service completion."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        duration = self.service_time(nbytes)
         now = self.env._now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        # service_time() inlined (hot path; same rounding expression).
-        duration = int(round(nbytes * 1e9 / self.bytes_per_sec))
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
@@ -219,21 +234,22 @@ class BandwidthServer:
 
     def queueing_delay(self) -> int:
         """Delay a zero-byte transfer would see right now, in ns."""
-        return max(0, self._free_at - self.env.now)
+        backlog = self._free_at - self.env.now
+        return backlog if backlog > 0 else 0
 
     def account(self, nbytes: int) -> int:
         """Charge bytes and return total delay (queue + service) without
         creating an event.  Used on hot paths where the caller folds the
         delay into a larger latency sum."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        # env._now (not the .now property): this runs a few hundred
-        # thousand times per simulated second.
+        # Memo hit inlined: this runs a few hundred thousand times per
+        # simulated second.  A miss (or a negative size, never stored)
+        # goes through service_time().
+        duration = self._durations.get(nbytes)
+        if duration is None:
+            duration = self.service_time(nbytes)
         now = self.env._now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        # service_time() inlined (hot path; same rounding expression).
-        duration = int(round(nbytes * 1e9 / self.bytes_per_sec))
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
@@ -250,14 +266,12 @@ class BandwidthServer:
         last of the sequential calls would have returned.  This is the
         fluid tier's per-burst-faithful PCIe/interconnect charge.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        duration = self.service_time(nbytes)
         if nbursts < 1:
             raise ValueError(f"nbursts must be >= 1, got {nbursts}")
         now = self.env._now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        duration = int(round(nbytes * 1e9 / self.bytes_per_sec))
         total = duration * nbursts
         self._free_at = start + total
         self._busy_ns += total
@@ -303,7 +317,8 @@ class BandwidthServer:
         elapsed = self.env.now - since
         if elapsed <= 0:
             return 0.0
-        return min(1.0, self._busy_ns / elapsed)
+        busy = self._busy_ns / elapsed
+        return busy if busy < 1.0 else 1.0
 
     def reset_window(self) -> None:
         self._window_start = self.env.now
@@ -334,6 +349,8 @@ class RateEstimator:
 
     def __init__(self, env: Environment, bytes_per_sec: float,
                  bucket_ns: int = 20_000):
+        if int(bucket_ns) <= 0:
+            raise ValueError(f"bucket_ns must be >= 1, got {bucket_ns}")
         self.env = env
         self.bytes_per_sec = float(bytes_per_sec)
         self.bucket_ns = int(bucket_ns)
@@ -376,9 +393,10 @@ class RateEstimator:
             return
         elapsed = now - self._bucket_start
         if elapsed >= self.bucket_ns:
-            self._last_utilization = min(
-                1.0, self._bucket_bytes * 1e9
-                / (self.bytes_per_sec * max(1, elapsed)))
+            # elapsed >= bucket_ns >= 1, so the division is safe.
+            last = (self._bucket_bytes * 1e9
+                    / (self.bytes_per_sec * elapsed))
+            self._last_utilization = last if last < 1.0 else 1.0
             self._bucket_start = now
             self._bucket_bytes = 0
         self._bucket_bytes += nbytes
@@ -415,48 +433,31 @@ class RateEstimator:
         if elapsed <= 0:
             base = self._last_utilization
         else:
-            current = min(1.0, self._bucket_bytes * 1e9
-                          / (self.bytes_per_sec * elapsed))
+            current = (self._bucket_bytes * 1e9
+                       / (self.bytes_per_sec * elapsed))
+            current = current if current < 1.0 else 1.0
             # Blend: the current bucket only counts once it has some
             # history, so a single burst at bucket start doesn't read as
             # saturation.
-            weight = min(1.0, elapsed / self.bucket_ns)
+            weight = elapsed / self.bucket_ns
+            weight = weight if weight < 1.0 else 1.0
             base = ((1.0 - weight) * self._last_utilization
                     + weight * current)
         if self._pending:
             exclude = (self.env.fluid_flow_id
                        if self.env.fluid_span_ns > 0 else 0)
-            base = min(1.0, base + self._reserved_rate(now, exclude)
-                       / self.bytes_per_sec)
+            base = (base + self._reserved_rate(now, exclude)
+                    / self.bytes_per_sec)
+            base = base if base < 1.0 else 1.0
         return base
 
     def update_utilization(self, nbytes: int) -> float:
-        """Fused ``update(nbytes)`` followed by ``utilization()`` — the
-        two always run back to back on the link hot path, and fusing them
-        halves the call overhead.  Bit-identical to the pair."""
-        if self._pending or self.env.fluid_span_ns > 0:
-            # Fluid reservations in play: take the unfused path, which
-            # handles draining and the reserved-rate contribution.
-            self.update(nbytes)
-            return self.utilization()
-        now = self.env._now
-        elapsed = now - self._bucket_start
-        if elapsed >= self.bucket_ns:
-            self._last_utilization = min(
-                1.0, self._bucket_bytes * 1e9
-                / (self.bytes_per_sec * max(1, elapsed)))
-            self._bucket_start = now
-            self._bucket_bytes = nbytes
-            # elapsed is now zero: utilization() would return the stored
-            # last-bucket figure unchanged.
-            return self._last_utilization
-        self._bucket_bytes += nbytes
-        if elapsed <= 0:
-            return self._last_utilization
-        current = min(1.0, self._bucket_bytes * 1e9
-                      / (self.bytes_per_sec * elapsed))
-        weight = min(1.0, elapsed / self.bucket_ns)
-        return (1.0 - weight) * self._last_utilization + weight * current
+        """``update(nbytes)`` then ``utilization()``: the charge-then-read
+        pair a crossing makes.  ``InterconnectLink.traverse`` fuses the
+        exact-tier case in line and calls this only while fluid
+        reservations are in play."""
+        self.update(nbytes)
+        return self.utilization()
 
 
 class ProcessorSharingServer:
@@ -479,15 +480,30 @@ class ProcessorSharingServer:
         self._bytes_total = 0
         self._window_start = 0
         self._window_bytes = 0
+        #: Service time per ``nbytes * share`` product (the int product is
+        #: formed first in the rounding expression, so it is an exact key).
+        self._durations: dict = {}
 
     def account(self, nbytes: int) -> int:
         """Charge bytes; return the slowed-down service time in ns."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        active = self._active
+        key = nbytes * active if active > 1 else nbytes
+        duration = self._durations.get(key)
+        if duration is None:
+            duration = self._duration(nbytes, key)
         self._bytes_total += nbytes
         self._window_bytes += nbytes
-        share = max(1, self._active)
-        return int(round(nbytes * share * 1e9 / self.bytes_per_sec))
+        return duration
+
+    def _duration(self, nbytes: int, key: int) -> int:
+        """Service time of ``nbytes`` at ``key = nbytes * share``,
+        memoised per key (only non-negative sizes are stored)."""
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        duration = int(round(key * 1e9 / self.bytes_per_sec))
+        if len(self._durations) < MEMO_CAP:
+            self._durations[key] = duration
+        return duration
 
     def enter(self) -> None:
         self._active += 1

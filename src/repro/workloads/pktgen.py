@@ -60,22 +60,27 @@ class Pktgen(Workload):
                                         device, packet)
             return
 
-        while not self.done():
-            bflow = machine.tracer.begin_blame(self.env.now)
-            stack = BURST_PKTS * costs.pktgen_pkt_ns
+        # One iteration per burst: done() and in_measurement() are read
+        # off the clock in line.
+        env = self.env
+        tracer = machine.tracer
+        memory = machine.memory
+        meter = self.meter
+        stack = BURST_PKTS * costs.pktgen_pkt_ns
+        burst_bytes = BURST_PKTS * self.packet_bytes
+        while env._now < self.duration_ns:
+            bflow = tracer.begin_blame(env._now)
             door = txq.pf.mmio_latency(node)  # doorbell per burst
             cpu = stack + door
             dev = device.tx(txq, packet, BURST_PKTS, self.packet_bytes,
                             ndesc=BURST_PKTS)
-            cq = BURST_PKTS * machine.memory.read_fresh_dma_line(
-                node, txq.ring)
+            cq = BURST_PKTS * memory.read_fresh_dma_line(node, txq.ring)
             cpu += cq
             if bflow is not None:
                 self._charge_burst(bflow, machine, txq, node, stack, door,
                                    cq, cpu + dev, 1)
-            if self.in_measurement():
-                self.meter.record(BURST_PKTS * self.packet_bytes,
-                                  BURST_PKTS)
+            if self.warmup_ns <= env._now < self.duration_ns:
+                meter.record(burst_bytes, BURST_PKTS)
             yield thread.overlap(cpu, dev)
         self.meter.finish(min(self.env.now, self.duration_ns))
 

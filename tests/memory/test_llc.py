@@ -156,3 +156,103 @@ def test_occupancy_never_negative_after_mixed_ops():
     assert llc.occupied >= 0
     assert llc._ddio_occupied >= 0
     assert llc.occupied <= llc.capacity
+
+
+# ------------------------------------------- DDIO eviction, no snapshot
+
+class _SnapshotEvictionLLC(LastLevelCache):
+    """The DDIO eviction as it was written before: a snapshot of the
+    LRU order walked with a re-check per region, then a clamp of
+    ``keep``.  The reference for the copy-free walk."""
+
+    def _evict_ddio_overflow(self, keep):
+        if self._ddio_occupied <= self.ddio_capacity:
+            return
+        for victim in list(self._entries):
+            if self._ddio_occupied <= self.ddio_capacity:
+                break
+            entry = self._entries[victim]
+            if entry.ddio == 0 or victim is keep:
+                continue
+            drop = min(entry.ddio,
+                       self._ddio_occupied - self.ddio_capacity)
+            entry.ddio -= drop
+            entry.resident -= drop
+            self._occupied -= drop
+            self._ddio_occupied -= drop
+            if entry.resident <= 0:
+                del self._entries[victim]
+        if self._ddio_occupied > self.ddio_capacity:
+            entry = self._entries[keep]
+            drop = min(self._ddio_occupied - self.ddio_capacity, entry.ddio)
+            entry.ddio -= drop
+            entry.resident -= drop
+            self._occupied -= drop
+            self._ddio_occupied -= drop
+
+
+def _llc_state(llc, regions):
+    return ([(r.name, e.resident, e.ddio) for r, e in llc._entries.items()],
+            llc.occupied, llc.ddio_occupied, llc.invalidated_bytes,
+            [r.dma_llc_node for r in regions])
+
+
+def _llc_ops():
+    from hypothesis import strategies as st
+    return st.tuples(
+        st.sampled_from([600, 1000, 4096]),                 # capacity
+        st.sampled_from([0.1, 0.25, 0.5, 1.0]),             # ddio fraction
+        st.lists(st.integers(min_value=1, max_value=900),   # region sizes
+                 min_size=1, max_size=5),
+        st.lists(st.tuples(
+            st.sampled_from(["load", "ddio", "ddio", "invalidate",
+                             "invalidate_all", "touch"]),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=1200)),
+            min_size=1, max_size=80))
+
+
+def test_ddio_eviction_matches_the_snapshot_walk():
+    from hypothesis import given, settings
+
+    @given(_llc_ops())
+    @settings(max_examples=300, deadline=None)
+    def check(case):
+        capacity, fraction, sizes, ops = case
+        new = LastLevelCache(node_id=0, capacity=capacity,
+                             ddio_fraction=fraction)
+        old = _SnapshotEvictionLLC(node_id=0, capacity=capacity,
+                                   ddio_fraction=fraction)
+        # One region list per cache: dma_llc_node lives on the region.
+        new_regions = [region(f"r{i}", size=s) for i, s in enumerate(sizes)]
+        old_regions = [region(f"r{i}", size=s) for i, s in enumerate(sizes)]
+        for op, index, nbytes in ops:
+            index %= len(sizes)
+            for llc, regions in ((new, new_regions), (old, old_regions)):
+                r = regions[index]
+                if op == "load":
+                    llc.load(r, nbytes)
+                elif op == "ddio":
+                    r.dma_llc_node = 0
+                    llc.ddio_write(r, nbytes)
+                elif op == "invalidate":
+                    llc.invalidate(r, nbytes)
+                elif op == "invalidate_all":
+                    llc.invalidate(r)
+                else:
+                    llc.touch(r)
+            assert (_llc_state(new, new_regions)
+                    == _llc_state(old, old_regions))
+
+    check()
+
+
+def test_ddio_overflow_with_keep_as_only_holder_clamps_keep():
+    llc = make_llc(capacity=1000, ddio_fraction=0.1)
+    plain, hot = region("plain", size=500), region("hot", size=500)
+    llc.load(plain, 300)
+    llc.ddio_write(hot, 80)
+    llc.ddio_write(hot, 80)                 # 160 B of DDIO > 100 B slice
+    assert llc.ddio_occupied == 100
+    assert llc.resident_bytes(hot) == 100
+    assert llc.resident_bytes(plain) == 300

@@ -286,6 +286,57 @@ def test_bandwidth_set_rate_with_empty_queue():
     assert link.account(2000) == 1000
 
 
+def test_service_time_memo_is_dropped_on_set_rate():
+    env = Environment()
+    link = BandwidthServer(env, bytes_per_sec=1e9)
+    assert link.account(1000) == 1000
+    assert link._durations == {1000: 1000}
+    link.set_rate(4e9)
+    assert link._durations == {}
+    env._now = 10_000                       # the backlog has drained
+    assert link.account(1000) == 250
+    assert link.service_time(1000) == 250
+
+
+def test_memoised_durations_equal_fresh_rounding():
+    env = Environment()
+    rate = 39.0625e9 / 3                    # an awkward rate: real rounding
+    link = BandwidthServer(env, bytes_per_sec=rate)
+    for _ in range(2):                      # cold, then every size memoised
+        for nbytes in (0, 1, 63, 64, 1499, 4096, 65_536, 10**12):
+            assert link.service_time(nbytes) == int(round(
+                nbytes * 1e9 / rate))
+
+
+def test_memo_stays_under_its_cap():
+    from repro.sim.resources import MEMO_CAP
+    env = Environment()
+    link = BandwidthServer(env, bytes_per_sec=3e9)
+    dram = ProcessorSharingServer(env, bytes_per_sec=3e9)
+    for nbytes in range(MEMO_CAP + 500):
+        link.account(nbytes)
+        dram.account(nbytes)
+    assert len(link._durations) == MEMO_CAP
+    assert len(dram._durations) == MEMO_CAP
+    # Sizes past the cap are computed fresh, with the same rounding.
+    big = MEMO_CAP + 499
+    assert link.service_time(big) == int(round(big * 1e9 / 3e9))
+    assert dram.account(big) == int(round(big * 1e9 / 3e9))
+
+
+def test_negative_sizes_are_never_memoised():
+    env = Environment()
+    link = BandwidthServer(env, bytes_per_sec=1e9)
+    dram = ProcessorSharingServer(env, bytes_per_sec=1e9)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            link.account(-64)
+        with pytest.raises(ValueError):
+            dram.account(-64)
+    assert link._durations == {} and dram._durations == {}
+    assert link.bytes_total == 0 and dram.bytes_total == 0
+
+
 def test_account_batch_bit_identical_to_sequential_accounts():
     env = Environment()
     a = BandwidthServer(env, bytes_per_sec=39.0625e9 / 3)  # awkward rate
@@ -360,6 +411,24 @@ def test_estimator_update_utilization_matches_pair():
         est1.update(3000)
         want = est1.utilization()
         assert est2.update_utilization(3000) == want
+
+
+@pytest.mark.parametrize("bucket_ns", [0, -20_000, 0.5])
+def test_estimator_rejects_nonpositive_bucket(bucket_ns):
+    from repro.sim.resources import RateEstimator
+    with pytest.raises(ValueError):
+        RateEstimator(Environment(), bytes_per_sec=1e9, bucket_ns=bucket_ns)
+
+
+def test_estimator_one_ns_bucket_reads_after_time_advances():
+    from repro.sim.resources import RateEstimator
+    env = Environment()
+    est = RateEstimator(env, bytes_per_sec=1e9, bucket_ns=1)
+    est.update(10)
+    env._now = 5
+    assert est.utilization() == 1.0         # 10 B in 5 ns at 1 B/ns, capped
+    est.update(1)                           # closes the bucket: 10 B / 5 ns
+    assert est.utilization() == 1.0
 
 
 def test_estimator_spanned_update_registers_reservation():
@@ -437,3 +506,20 @@ def test_ps_server_tracks_bytes():
     dram.account(123)
     dram.account(877)
     assert dram.bytes_total == 1000
+
+
+def test_ps_server_memo_keys_on_the_shared_product():
+    env = Environment()
+    rate = 60e9 / 7
+    dram = ProcessorSharingServer(env, bytes_per_sec=rate)
+    for active in (0, 1, 2, 3, 1, 0, 2):
+        while dram._active < active:
+            dram.enter()
+        while dram._active > active:
+            dram.leave()
+        share = max(1, active)
+        for nbytes in (64, 128, 192, 4096):
+            assert dram.account(nbytes) == int(round(
+                nbytes * share * 1e9 / rate))
+    # 64 B at share 2 and 128 B at share 1 share one exact key.
+    assert 128 in dram._durations and 64 * 3 in dram._durations
